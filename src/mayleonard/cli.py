@@ -48,6 +48,10 @@ EXIT_USAGE = 64
 
 _COUPLING_KEYS = ("a12", "a13", "a21", "a23", "a31", "a32")
 
+# Caps on the work one config may request; a config past either exits 64.
+MAX_RK4_STEPS = 10**7
+MAX_GRID_POINTS = 10**6
+
 # Thresholds for the verify sub-checks.
 VERIFY_ODE_RTOL = 1e-10
 VERIFY_ORACLE_RTOL = 1e-8
@@ -80,18 +84,26 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _finite(v, key: str) -> float:
+    # JSON integers are unbounded; one past the float range counts as infinite.
+    try:
+        value = float(v)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"'{key}' must be finite")
+    return value
+
+
 def _parse_scalar(v, key: str, mode: str):
     if _is_number(v):
-        if not math.isfinite(v):
-            raise ConfigError(f"'{key}' must be finite")
-        return complex(v) if mode == "complex" else float(v)
+        value = _finite(v, key)
+        return complex(value) if mode == "complex" else value
     if isinstance(v, list) and len(v) == 2 and all(_is_number(c) for c in v):
         if mode == "real":
             raise ConfigError(
                 f"mode mismatch: '{key}' is a [re, im] pair but mode is \"real\"")
-        if not all(math.isfinite(c) for c in v):
-            raise ConfigError(f"'{key}' must be finite")
-        return complex(v[0], v[1])
+        return complex(_finite(v[0], key), _finite(v[1], key))
     expected = "a number" if mode == "real" else "a number or a [re, im] pair"
     raise ConfigError(f"'{key}' must be {expected}")
 
@@ -99,9 +111,7 @@ def _parse_scalar(v, key: str, mode: str):
 def _parse_real(v, key: str) -> float:
     if not _is_number(v):
         raise ConfigError(f"'{key}' must be a real number")
-    if not math.isfinite(v):
-        raise ConfigError(f"'{key}' must be finite")
-    return float(v)
+    return _finite(v, key)
 
 
 def _parse_int(v, key: str) -> int:
@@ -178,6 +188,11 @@ def config_from_dict(obj) -> RunConfig:
         step = _parse_real(obj["step"], "step")
         if not step > 0:
             raise ConfigError("'step' must be positive")
+        # The same step count rk4_fixed takes, compared without ceil so an
+        # infinite quotient is rejected rather than raised.
+        if (t_span[1] - t_span[0]) / step - 1e-12 > MAX_RK4_STEPS:
+            raise ConfigError(f"'step' needs more than {MAX_RK4_STEPS} RK4 steps "
+                              "over 't_span'")
     elif "step" in obj:
         raise ConfigError(f"'step' only applies to method \"rk4\", not \"{method}\"")
 
@@ -194,8 +209,8 @@ def config_from_dict(obj) -> RunConfig:
         raise ConfigError(f"'tolerances' only applies to method \"adaptive\", not \"{method}\"")
 
     grid_points = _parse_int(obj.get("grid_points", 501), "grid_points")
-    if grid_points < 1:
-        raise ConfigError("'grid_points' must be at least 1")
+    if not 1 <= grid_points <= MAX_GRID_POINTS:
+        raise ConfigError(f"'grid_points' must be at least 1 and at most {MAX_GRID_POINTS}")
 
     output_path = None
     output_format = "csv"

@@ -39,7 +39,8 @@ DEFAULT_ADMISSIBILITY_TOL = 1e-9
 # |D| below this counts as sitting on a pole.
 POLE_TOL = 1e-12
 
-# |eta| (or |eta*t|) below this switches to the eta -> 0 limit formulas.
+# |eta*t| (|eta*tau|) below this switches tau_of_t (t_of_tau) to its
+# second-order limit.
 SMALL_ETA = 1e-8
 
 # Grid points must keep this much time-distance from a real blow-up.
@@ -122,8 +123,11 @@ def make_special(params: ModelParams, x0: np.ndarray,
 
 
 def _denominator(eta: Scalar, z: Scalar, t: float) -> Scalar:
-    """D(t) = exp(-eta t) + (z/eta)(1 - exp(-eta t)), stable near eta = 0."""
-    if abs(eta) < SMALL_ETA:
+    """D(t) = exp(-eta t) + (z/eta)(1 - exp(-eta t)); 1 + z t at eta = 0.
+
+    The expm1 form keeps the eta term for every eta != 0, however small.
+    """
+    if eta == 0:
         return 1.0 + z * t
     with np.errstate(over="ignore", invalid="ignore"):
         decay = np.exp(-eta * t)
@@ -132,8 +136,8 @@ def _denominator(eta: Scalar, z: Scalar, t: float) -> Scalar:
 
 
 def _denominator_derivative(eta: Scalar, z: Scalar, t: float) -> Scalar:
-    """dD/dt on the same branch _denominator uses for small eta."""
-    if abs(eta) < SMALL_ETA:
+    """dD/dt = (z - eta) exp(-eta t), on the same branches as _denominator."""
+    if eta == 0:
         return z
     with np.errstate(over="ignore", invalid="ignore"):
         return ((z - eta) * np.exp(-eta * t)).item()
@@ -258,15 +262,17 @@ def blow_up_time(sol: SpecialSolution) -> float | None:
         if complex(eta).imag != 0 or complex(z).imag != 0:
             raise ValueError("blow_up_time handles real eta and z only")
         eta, z = complex(eta).real, complex(z).real
-    if abs(eta) < SMALL_ETA:
+    if z == 0:
+        return None  # D = exp(-eta t) never vanishes
+    if eta == 0:
         # D = 1 + z t crosses zero forward only for z < 0.
         return -1.0 / z if z < 0 else None
-    if z == eta:
+    # exp(-eta t) = z/(z - eta) = 1/(1 + w) with w = -eta/z, so
+    # t = log1p(w)/eta; log1p keeps full precision when |eta/z| is tiny.
+    w = -eta / z
+    if w <= -1.0:
         return None
-    ratio = z / (z - eta)
-    if ratio <= 0:
-        return None
-    t_star = -math.log(ratio) / eta
+    t_star = math.log1p(w) / eta
     return t_star if t_star > 0 else None
 
 

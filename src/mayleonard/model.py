@@ -34,7 +34,7 @@ ZERO_ETA_TOL = 1e-300
 
 
 def _check_finite(value: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise OverflowSignal(f"{what} contains a non-finite value")
     return value
 
@@ -44,7 +44,8 @@ class ModelParams:
     """Growth rate and coupling matrix; the diagonal is pinned to exactly 1.
 
     Build either directly from a full 3x3 array or through from_couplings
-    with the six off-diagonal entries.  The stored array is read-only.
+    with the six off-diagonal entries.  The stored array is read-only; its
+    columns are also kept as contiguous arrays for rhs.
     """
 
     eta: Scalar
@@ -67,8 +68,12 @@ class ModelParams:
         if not np.isfinite(eta):
             raise OverflowSignal("eta must be finite")
         a.setflags(write=False)
+        columns = tuple(np.ascontiguousarray(a[:, m]) for m in range(3))
+        for column in columns:
+            column.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "_columns", columns)
 
     @classmethod
     def from_couplings(cls, eta: Scalar, a12: Scalar, a13: Scalar, a21: Scalar,
@@ -113,8 +118,8 @@ def reduce_symmetric(sym: SymmetricParams) -> ModelParams:
 def _bracket(params: ModelParams, x: np.ndarray) -> np.ndarray:
     # Row-wise eta - a_n1 x1 - a_n2 x2 - a_n3 x3, subtracted left to right.
     # The explicit term order keeps the result bit-stable across numpy builds.
-    a = params.a
-    return params.eta - a[:, 0] * x[0] - a[:, 1] * x[1] - a[:, 2] * x[2]
+    a1, a2, a3 = params._columns
+    return params.eta - a1 * x[0] - a2 * x[1] - a3 * x[2]
 
 
 def rhs(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mayleonard import ConfigError, ModelParams, rhs, rk4_fixed
-from mayleonard.cli import (RunConfig, config_from_dict, main, parse_config,
+from mayleonard.cli import (MAX_GRID_POINTS, MAX_RK4_STEPS, RunConfig,
+                            config_from_dict, main, parse_config,
                             serialize_config)
 
 LN2 = math.log(2.0)
@@ -104,6 +106,37 @@ class TestConfigValidation:
         text = json.dumps(smoke_config()).replace("1.0,", "Infinity,", 1)
         with pytest.raises(ConfigError, match="'eta' must be finite"):
             parse_config(text)
+
+    @pytest.mark.parametrize("key,overrides,mode", [
+        ("eta", {"eta": 10**400}, "real"),
+        ("eta", {"eta": [1.0, -10**400]}, "complex"),
+        ("x0[1]", {"x0": [0.2, 10**400, 0.2]}, "real"),
+        ("t_span[1]", {"t_span": [0.0, 10**400]}, "real"),
+    ])
+    def test_oversized_integer_rejected(self, key, overrides, mode):
+        # A JSON integer past the float range must not escape as OverflowError.
+        text = json.dumps(smoke_config(mode=mode, **overrides))
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}' must be finite")):
+            parse_config(text)
+
+    def test_rk4_step_cap(self):
+        # Exactly MAX_RK4_STEPS steps parse; one more is refused.  Parsing
+        # only: neither config is run.
+        span = [0.0, float(MAX_RK4_STEPS)]
+        cfg = config_from_dict(smoke_config(method="rk4", step=1.0, t_span=span))
+        assert cfg.step == 1.0
+        over = smoke_config(method="rk4", step=1.0, t_span=[0.0, MAX_RK4_STEPS + 1.0])
+        with pytest.raises(ConfigError, match="more than 10000000 RK4 steps"):
+            config_from_dict(over)
+        tiny = smoke_config(method="rk4", step=1e-300)
+        with pytest.raises(ConfigError, match="RK4 steps"):
+            config_from_dict(tiny)
+
+    def test_grid_points_cap(self):
+        assert config_from_dict(
+            smoke_config(grid_points=MAX_GRID_POINTS)).grid_points == MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match="at most 1000000"):
+            config_from_dict(smoke_config(grid_points=MAX_GRID_POINTS + 1))
 
     def test_rk4_requires_step(self):
         with pytest.raises(ConfigError, match="requires 'step'"):
@@ -520,6 +553,26 @@ class TestMainDispatch:
         rc = main(["simulate", str(path)])
         assert rc == 64
         assert "missing config key" in capsys.readouterr().err
+
+    def test_oversized_integer_exits_64(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(smoke_config(eta=10**400)))
+        rc = main(["simulate", str(path)])
+        assert rc == 64
+        err = capsys.readouterr().err
+        assert "'eta' must be finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,overrides,message", [
+        ("simulate", {"method": "rk4", "step": 1.0,
+                      "t_span": [0.0, MAX_RK4_STEPS + 1.0]}, "RK4 steps"),
+        ("special", {"method": "closed-form", "grid_points": MAX_GRID_POINTS + 1},
+         "at most"),
+    ])
+    def test_work_caps_exit_64(self, tmp_path, capsys, command, overrides, message):
+        path = write_json(tmp_path, smoke_config(**overrides))
+        assert main([command, path]) == 64
+        assert message in capsys.readouterr().err
 
     def test_diagnostics_honor_no_color(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NO_COLOR", "1")

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from mayleonard import (AdmissibilityReport, ModelParams, PoleError,
-                        SpecialSolution, blow_up_time, eval_special,
-                        eval_y_special, linear_forms, make_special, period_of,
-                        random_admissible_instance, rhs, rhs_transformed,
-                        t_of_tau, tau_of_t, transform_x_to_y, transform_y_to_x,
+                        SpecialSolution, SymmetricParams, blow_up_time,
+                        eval_special, eval_y_special, linear_forms,
+                        make_special, period_of, random_admissible_instance,
+                        reduce_symmetric, rhs, rhs_transformed, t_of_tau,
+                        tau_of_t, transform_x_to_y, transform_y_to_x,
                         verify_special)
 
 ALL_ONES = np.ones((3, 3))
@@ -288,6 +289,18 @@ class TestBlowUpTime:
         positive = make_special(p, np.array([0.25, 0.25, 0.5]))
         assert blow_up_time(positive) is None
 
+    def test_small_eta_keeps_eta_term(self):
+        # z = -1, so t* = log1p(eta)/eta = 1 - eta/2 + O(eta^2); the
+        # eta -> 0 limit 1/|z| = 1 would be off by 5e-10.
+        p = ModelParams(1e-9, ALL_ONES)
+        sol = make_special(p, np.array([-0.25, -0.25, -0.5]))
+        assert abs(blow_up_time(sol) - (1.0 - 5e-10)) < 1e-15
+
+    def test_zero_eta_limit(self):
+        p = ModelParams(0.0, ALL_ONES)
+        sol = make_special(p, np.array([-0.25, -0.25, -0.5]))
+        assert blow_up_time(sol) == 1.0
+
     def test_complex_z_rejected(self):
         params, sol = symmetric_special(eta=1j, x0=(0.25, 0.25, 0.5))
         with pytest.raises(ValueError):
@@ -339,6 +352,15 @@ class TestVerifySpecial:
         sol = make_special(p, np.array([-0.25, -0.25, -0.5]))
         with pytest.raises(PoleError):
             verify_special(p, sol, [0.0, math.log(2.0) - 1e-4])
+
+    def test_small_eta_ray_passes(self):
+        # 0 < eta < 1e-8 must not fall back to the eta = 0 form 1 + z t,
+        # which drops the eta term and misses tol by a factor of 8.
+        params = reduce_symmetric(SymmetricParams(1.5, 0.5))
+        params = ModelParams(5e-9, params.a)
+        sol = make_special(params, np.full(3, 0.2))
+        report = verify_special(params, sol, np.linspace(0.0, 5.0, 101), tol=1e-10)
+        assert report.passed, report.max_relative
 
     def test_isochronous_residual(self):
         params, sol = symmetric_special(eta=1j, x0=(0.25, 0.25, 0.5))

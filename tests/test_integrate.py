@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from mayleonard import (ModelParams, RoundoffFloorError, StepControl,
-                        Termination, Trajectory, adaptive_45, estimate_order,
-                        euler_fixed, eval_special, integrate_on_grid,
-                        make_special, rhs, rhs_transformed, rk4_fixed,
-                        tau_of_t, transform_x_to_y)
+                        Termination, Trajectory, adaptive_45, blow_up_time,
+                        estimate_order, euler_fixed, eval_special,
+                        integrate_on_grid, make_special,
+                        random_admissible_instance, rhs, rhs_transformed,
+                        rk4_fixed, tau_of_t, transform_x_to_y)
 
 ALL_ONES = np.ones((3, 3))
 
@@ -246,6 +247,90 @@ class TestIntegrateOnGrid:
         traj = integrate_on_grid(field_for(params), x0, grid)
         for t, x in zip(traj.times, traj.states):
             assert np.max(np.abs(x - eval_special(sol, float(t)))) < 1e-8
+
+
+def acceptance_case(seed, mode):
+    """Instance, span and 101-point grid over [0, min(5, t* - 0.1)]."""
+    params, x0 = random_admissible_instance(seed, mode=mode)
+    t_star = blow_up_time(make_special(params, x0)) if mode == "real" else None
+    t_hi = 5.0 if t_star is None else min(5.0, t_star - 0.1)
+    return params, x0, (0.0, t_hi), np.linspace(0.0, t_hi, 101)
+
+
+def blow_up_case():
+    params, sol = blow_up_solution()
+    return params, sol.x0, (0.0, 2.0), np.linspace(0.0, 2.0, 21)
+
+
+def state_hex(x):
+    """float.hex of every real and imaginary part, in component order."""
+    x = np.asarray(x)
+    parts = np.column_stack([x.real, x.imag]).ravel() if np.iscomplexobj(x) else x
+    return [float(v).hex() for v in parts]
+
+
+class TestSameStepsSameBits:
+    """The DP45 kernel's exact behaviour on three fixed cases.
+
+    Each row pins, for adaptive_45 over the span and integrate_on_grid over
+    the grid: the field calls counted by a wrapping closure, the recorded
+    steps (accepted steps, or grid intervals completed), the termination
+    and its time, and the bits of the final state.
+    A kernel rewrite must take the same steps and produce the same bits.
+    """
+
+    CASES = {
+        "real": (lambda: acceptance_case(3, "real"), {
+            "adaptive_45": (409, 68, Termination.COMPLETED, None, [
+                "0x1.4270ef1fa0a25p-2", "0x1.0195f889fe547p-3",
+                "0x1.726bb53d97c8ep-4"]),
+            "integrate_on_grid": (1360, 100, Termination.COMPLETED, None, [
+                "0x1.4270ef1eae8cfp-2", "0x1.0195f8893cf01p-3",
+                "0x1.726bb53c81ad8p-4"]),
+        }),
+        "complex": (lambda: acceptance_case(3, "complex"), {
+            "adaptive_45": (1123, 187, Termination.COMPLETED, None, [
+                "0x1.007a4fc5819b5p-1", "0x1.2743cb17981ecp-1",
+                "-0x1.2a8d9933bf394p-1", "0x1.79ea1186e828ap-3",
+                "-0x1.af8fa93e67d11p-2", "0x1.266436e04c3a6p-1"]),
+            "integrate_on_grid": (1912, 100, Termination.COMPLETED, None, [
+                "0x1.007a4fc918cfap-1", "0x1.2743cb1d115bcp-1",
+                "-0x1.2a8d9938e93f8p-1", "0x1.79ea118a7df46p-3",
+                "-0x1.af8fa946e2e8ep-2", "0x1.266436e4b2224p-1"]),
+        }),
+        "blow_up": (blow_up_case, {
+            "adaptive_45": (4615, 768, Termination.BLOW_UP,
+                            "0x1.62e42fef3f615p-1", [
+                "-0x1.c24e965c65987p+38", "-0x1.c24e965c65987p+38",
+                "-0x1.c24e965c65987p+39"]),
+            "integrate_on_grid": (4657, 6, Termination.BLOW_UP,
+                                  "0x1.62e42fef4b1d9p-1", [
+                "-0x1.47ca6ad5e218cp+1", "-0x1.47ca6ad5e218cp+1",
+                "-0x1.47ca6ad5e218cp+2"]),
+        }),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("driver", ["adaptive_45", "integrate_on_grid"])
+    def test_pinned(self, case, driver):
+        build, expected = self.CASES[case]
+        params, x0, (t0, t1), grid = build()
+        calls = 0
+
+        def counting_field(x):
+            nonlocal calls
+            calls += 1
+            return rhs(params, x)
+
+        if driver == "adaptive_45":
+            traj = adaptive_45(counting_field, x0, t0, t1, StepControl())
+        else:
+            traj = integrate_on_grid(counting_field, x0, grid, StepControl())
+        t_end = traj.termination_time
+        got = (calls, traj.times.size - 1, traj.termination,
+               None if t_end is None else float(t_end).hex(),
+               state_hex(traj.final_state))
+        assert got == expected[driver]
 
 
 class TestEstimateOrder:
